@@ -206,6 +206,34 @@ class CoordinatorRecovery {
   int rr_ = 0;  // round-robin cursor over survivors
 };
 
+/// Query admission check shared by AnswerBatch and AnswerStream. A NaN
+/// compares false against every bound and threshold, so a query holding
+/// one would prune nothing and return a fabricated neighbour; an infinity
+/// makes every distance +inf. Either way the call is refused whole, before
+/// anything is dispatched.
+Status ValidateQueries(const SeriesCollection& queries) {
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const float* series = queries.data(q);
+    for (size_t i = 0; i < queries.length(); ++i) {
+      if (!std::isfinite(series[i])) {
+        return Status::InvalidArgument(
+            "query " + std::to_string(q) + " has a non-finite value at point " +
+            std::to_string(i));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+/// The report of a call refused at admission: `status` and one empty
+/// answer per query.
+BatchReport RefusedReport(size_t num_queries, Status status) {
+  BatchReport report;
+  report.answers.resize(num_queries);
+  report.status = std::move(status);
+  return report;
+}
+
 }  // namespace
 
 bool DefaultBatchedScoring() {
@@ -617,6 +645,9 @@ std::vector<double> OdysseyCluster::EstimateGroupQueries(
 
 BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   ODYSSEY_CHECK(!queries.empty());
+  if (Status valid = ValidateQueries(queries); !valid.ok()) {
+    return RefusedReport(queries.size(), std::move(valid));
+  }
   const int num_queries = static_cast<int>(queries.size());
 
   // A fresh transport per batch: stale messages cannot leak across runs.
@@ -875,6 +906,9 @@ BatchReport OdysseyCluster::AnswerStream(
   ODYSSEY_CHECK(arrival_seconds.size() == queries.size());
   ODYSSEY_CHECK(std::is_sorted(arrival_seconds.begin(),
                                arrival_seconds.end()));
+  if (Status valid = ValidateQueries(queries); !valid.ok()) {
+    return RefusedReport(queries.size(), std::move(valid));
+  }
   const int num_queries = static_cast<int>(queries.size());
 
   FaultInjector injector(options_.fault_plan);

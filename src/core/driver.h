@@ -169,9 +169,11 @@ struct BatchReport {
   size_t messages_sent = 0;
   size_t bsf_updates = 0;
   size_t steal_requests = 0;
-  /// Ok unless failure recovery found the batch unrecoverable (every
-  /// replica of some chunk declared dead). Answers are complete only when
-  /// ok.
+  /// Ok unless the call was refused at admission (InvalidArgument naming
+  /// the first query holding a NaN or an infinity; nothing was dispatched
+  /// and every answer is empty) or failure recovery found the batch
+  /// unrecoverable (every replica of some chunk declared dead). Answers are
+  /// complete only when ok.
   Status status = Status::Ok();
   /// Nodes the coordinator declared dead during this batch (liveness
   /// verdicts, which may include false positives — see
@@ -213,7 +215,8 @@ class OdysseyCluster {
   OdysseyCluster& operator=(const OdysseyCluster&) = delete;
 
   /// Stage 3-5: schedules, executes and merges one query batch. Can be
-  /// called repeatedly (the index is reused).
+  /// called repeatedly (the index is reused). A batch holding a non-finite
+  /// value is refused whole (BatchReport::status).
   BatchReport AnswerBatch(const SeriesCollection& queries);
 
   /// Streaming variant (the paper's dynamically-arriving-queries setting):
@@ -221,7 +224,8 @@ class OdysseyCluster {
   /// seconds after the call. Queries are dispatched dynamically in arrival
   /// order — pre-sorting the batch is impossible, which is precisely the
   /// regime work-stealing is designed to cover. `arrival_seconds` must be
-  /// non-decreasing and parallel to `queries`.
+  /// non-decreasing and parallel to `queries`. Non-finite queries are
+  /// refused as in AnswerBatch.
   BatchReport AnswerStream(const SeriesCollection& queries,
                            const std::vector<double>& arrival_seconds);
 

@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/distance/dtw.h"
 #include "src/distance/simd.h"
-#include "src/isax/mindist.h"
 
 namespace odyssey {
 namespace {
@@ -13,19 +12,18 @@ namespace {
 /// Descends to the best-matching non-empty leaf. If the query's own root
 /// key has no subtree, falls back to the root with the smallest word-level
 /// lower bound (the standard iSAX approximate-search fallback).
-const TreeNode* DescendToLeaf(const Index& index, const double* query_paa,
-                              const uint8_t* query_sax) {
+const TreeNode* DescendToLeaf(const Index& index, const PreparedQuery& query) {
   const IndexTree& tree = index.tree();
   ODYSSEY_CHECK(tree.root_count() > 0);
   const IsaxConfig& config = index.config();
+  const uint8_t* query_sax = query.sax();
 
   const uint32_t key = RootKey(query_sax, config);
   int root_idx = tree.FindRoot(key);
   if (root_idx < 0) {
     float best = std::numeric_limits<float>::infinity();
     for (size_t i = 0; i < tree.root_count(); ++i) {
-      const float lb =
-          MindistPaaToWord(query_paa, tree.root(i)->word(), config);
+      const float lb = query.paa_bounds().ToWord(tree.root(i)->word());
       if (lb < best) {
         best = lb;
         root_idx = static_cast<int>(i);
@@ -66,12 +64,12 @@ float ScanLeaf(const Index& index, const TreeNode* leaf, const float* query,
 
 const TreeNode* ApproximateSearchLeaf(const Index& index,
                                       const PreparedQuery& query) {
-  return DescendToLeaf(index, query.paa(), query.sax());
+  return DescendToLeaf(index, query);
 }
 
 float ApproximateSearchSquared(const Index& index, const PreparedQuery& query,
                                uint32_t* answer_id) {
-  const TreeNode* leaf = DescendToLeaf(index, query.paa(), query.sax());
+  const TreeNode* leaf = DescendToLeaf(index, query);
   const size_t n = index.config().series_length();
   const simd::KernelTable& kernels = simd::ActiveTable();
   return ScanLeaf(index, leaf, query.series(), answer_id,
@@ -87,7 +85,7 @@ float ApproximateSearchSquaredDtw(const Index& index,
                                   uint32_t* answer_id) {
   ODYSSEY_CHECK_MSG(query.has_envelope(),
                     "DTW approximate search needs a DTW-prepared query");
-  const TreeNode* leaf = DescendToLeaf(index, query.paa(), query.sax());
+  const TreeNode* leaf = DescendToLeaf(index, query);
   const size_t n = index.config().series_length();
   const size_t window = query.dtw_window();
   return ScanLeaf(index, leaf, query.series(), answer_id,

@@ -145,8 +145,12 @@ QueryExecution::QueryExecution(const Index* index, const PreparedQuery& query,
         query.has_envelope() && query.dtw_window() == options_.dtw_window,
         "DTW execution needs a query prepared with the same warping window");
     envelope_ = &query.envelope();
-    envelope_paa_ = &query.envelope_paa();
+    bounds_ = &query.envelope_bounds();
+  } else {
+    bounds_ = &query.paa_bounds();
   }
+  ODYSSEY_CHECK_MSG(bounds_->max_bits() == index_->config().max_bits,
+                    "query bounds built for a different symbol width");
   if (shared_bsf_ == nullptr) shared_bsf_ = &local_bsf_;
   batch_ranges_ = PartitionRsBatches(index_->tree().root_count(),
                                      options_.EffectiveBatches());
@@ -386,16 +390,27 @@ ODYSSEY_HOT void QueryExecution::ProcessQueue(BoundedPq* queue) {
 }
 
 ODYSSEY_HOT void QueryExecution::ScanLeaf(const TreeNode* leaf) {
-  stat_leaves_processed_.fetch_add(1, std::memory_order_relaxed);
   const auto& ids = leaf->ids();
+  // Tallied locally and folded into the shared counters once per leaf:
+  // every worker of the query scans leaves, and a per-series fetch_add
+  // would put a shared cache-line write in the innermost loop.
+  size_t real_distances = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     const float threshold = PruneThreshold();
     // Per-series summary filter at full cardinality before the real
     // distance (the tightest summary-level bound).
     if (SeriesLowerBound(leaf->leaf_sax(i)) >= threshold) continue;
     const float d = RealDistance(index_->data().data(ids[i]), threshold);
-    stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
+    ++real_distances;
     if (d < threshold) OfferCandidate(d, ids[i]);
+  }
+  CountLeafScan(real_distances);
+}
+
+ODYSSEY_HOT void QueryExecution::CountLeafScan(size_t real_distances) {
+  stat_leaves_processed_.fetch_add(1, std::memory_order_relaxed);
+  if (real_distances > 0) {
+    stat_real_distances_.fetch_add(real_distances, std::memory_order_relaxed);
   }
 }
 
@@ -434,18 +449,11 @@ ODYSSEY_HOT float QueryExecution::PruneThreshold() const {
 }
 
 ODYSSEY_HOT float QueryExecution::LeafLowerBound(const TreeNode* node) const {
-  if (options_.use_dtw) {
-    return MindistEnvelopeToWord(*envelope_paa_, node->word(),
-                                 index_->config());
-  }
-  return MindistPaaToWord(prepared_->paa(), node->word(), index_->config());
+  return bounds_->ToWord(node->word());
 }
 
 ODYSSEY_HOT float QueryExecution::SeriesLowerBound(const uint8_t* sax) const {
-  if (options_.use_dtw) {
-    return MindistEnvelopeToSax(*envelope_paa_, sax, index_->config());
-  }
-  return MindistPaaToSax(prepared_->paa(), sax, index_->config());
+  return bounds_->ToSax(sax);
 }
 
 ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,
@@ -698,6 +706,7 @@ ODYSSEY_HOT void GroupedQueryExecution::GroupedProcessing() {
   scratch.lone_series.assign(q_count * simd::kMultiCandidateLanes, nullptr);
   scratch.lone_ids.assign(q_count * simd::kMultiCandidateLanes, 0);
   scratch.lone_count.assign(q_count, 0);
+  scratch.real_distances.assign(q_count, 0);
   hotpath::ScopedHotRegion hot_region;
   for (;;) {
     const size_t i = work_cursor_.fetch_add(1, std::memory_order_acq_rel);
@@ -736,10 +745,6 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
     }
   }
   if (scratch->active.empty()) return;
-  for (int q : scratch->active) {
-    members_[q]->stat_leaves_processed_.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
   const TreeNode* leaf = work.leaf;
   const QueryExecution* first = members_[0];
   const bool use_dtw = first->options_.use_dtw;
@@ -758,11 +763,12 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
     // leaf, but the independent add chains run at near-vector throughput.
     const int lone = scratch->active[0];
     QueryExecution* m = members_[lone];
+    size_t real_distances = 0;
     for (size_t s = 0; s < ids.size(); ++s) {
       const float threshold = m->PruneThreshold();
       if (m->SeriesLowerBound(leaf->leaf_sax(s)) >= threshold) continue;
       const float* series = first->index_->data().data(ids[s]);
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
+      ++real_distances;
       if (use_dtw) {
         const float lb = scalar_->lb_keogh_early_abandon(
             m->envelope_->upper.data(), m->envelope_->lower.data(), series,
@@ -776,8 +782,12 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
         QueueLoneCandidate(lone, series, ids[s], scratch);
       }
     }
+    m->CountLeafScan(real_distances);
     return;
   }
+  // Per-member real-distance tallies, folded into the members' counters
+  // once at the end of the leaf (as in ScanLeaf).
+  for (int q : scratch->active) scratch->real_distances[q] = 0;
   for (size_t s = 0; s < ids.size(); ++s) {
     // Per-series summary filter per member, as in ScanLeaf. Members that
     // filter out (or were inactive for the leaf) get a 0.0 threshold: their
@@ -806,7 +816,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       // the batched lanes are bit-identical to by contract.
       QueryExecution* m = members_[lone];
       const float threshold = scratch->thresholds[lone];
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
+      ++scratch->real_distances[lone];
       const float lb = scalar_->lb_keogh_early_abandon(
           m->envelope_->upper.data(), m->envelope_->lower.data(), series, n_,
           threshold);
@@ -833,8 +843,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       // differ from the scalar family by ulps.
       for (int q : scratch->active) {
         if (scratch->pass[q] == 0) continue;
-        members_[q]->stat_real_distances_.fetch_add(
-            1, std::memory_order_relaxed);
+        ++scratch->real_distances[q];
         QueueLoneCandidate(q, series, ids[s], scratch);
       }
       continue;
@@ -852,7 +861,7 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       for (int q : scratch->active) {
         if (scratch->pass[q] == 0) continue;
         QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
+        ++scratch->real_distances[q];
         const float threshold = scratch->thresholds[q];
         if (scratch->out[q] >= threshold) continue;
         const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
@@ -867,12 +876,15 @@ ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
       for (int q : scratch->active) {
         if (scratch->pass[q] == 0) continue;
         QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
+        ++scratch->real_distances[q];
         if (scratch->out[q] < scratch->thresholds[q]) {
           m->OfferCandidate(scratch->out[q], ids[s]);
         }
       }
     }
+  }
+  for (int q : scratch->active) {
+    members_[q]->CountLeafScan(scratch->real_distances[q]);
   }
 }
 
@@ -1064,6 +1076,7 @@ void QueryScratch::Reserve(size_t batches, size_t queues, size_t group_lanes) {
   lone_series.reserve(group_lanes * simd::kMultiCandidateLanes);
   lone_ids.reserve(group_lanes * simd::kMultiCandidateLanes);
   lone_count.reserve(group_lanes);
+  real_distances.reserve(group_lanes);
 }
 
 PreparedQuery PrepareQuery(const float* series, const IsaxConfig& config,

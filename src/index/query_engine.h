@@ -317,6 +317,9 @@ class QueryExecution {
   ODYSSEY_HOT void TraverseNode(const TreeNode* node, QueueBuilder* builder);
   ODYSSEY_HOT void ProcessQueue(BoundedPq* queue);
   ODYSSEY_HOT void ScanLeaf(const TreeNode* leaf);
+  /// Folds one scanned leaf's tallies into the shared stat counters: one
+  /// relaxed fetch_add per counter per leaf, never per series.
+  ODYSSEY_HOT void CountLeafScan(size_t real_distances);
   ODYSSEY_HOT void OfferCandidate(float squared_distance, uint32_t id)
       ODYSSEY_HOT_ALLOWS(
           "indirect: on_bsf_improve_ is the sanctioned BSF-broadcast "
@@ -329,10 +332,13 @@ class QueryExecution {
   const Index* index_;
   const PreparedQuery* prepared_;
   const float* query_;  // prepared_->series(), cached for the scan loop
-  // DTW-only views into *prepared_, resolved once in the constructor so the
-  // per-series bound checks pay no precondition re-validation.
+  // The prepared query's lower-bound table for this execution's distance
+  // (envelope bounds under DTW, PAA bounds otherwise), resolved once in the
+  // constructor: every node and series bound is a row of its lookups.
+  const MindistTable* bounds_ = nullptr;
+  // DTW-only view into *prepared_, resolved once in the constructor so the
+  // per-series LB_Keogh pays no precondition re-validation.
   const Envelope* envelope_ = nullptr;
-  const EnvelopePaa* envelope_paa_ = nullptr;
   QueryOptions options_;
   /// Dispatched distance kernels, resolved once per execution so the scan
   /// loop pays no per-distance dispatch cost.
@@ -373,7 +379,8 @@ class QueryExecution {
   std::atomic<int> phase_{static_cast<int>(Phase::kInit)};
 
   KnnSet knn_;
-  // Stats (relaxed atomics; read after Run).
+  // Stats (relaxed atomics; read after Run). The scan loops tally locally
+  // and fold once per leaf (CountLeafScan).
   std::atomic<size_t> stat_leaves_inserted_{0};
   std::atomic<size_t> stat_leaves_processed_{0};
   std::atomic<size_t> stat_real_distances_{0};
@@ -428,6 +435,9 @@ class QueryScratch {
   std::vector<const float*> lone_series;
   std::vector<uint32_t> lone_ids;
   std::vector<uint8_t> lone_count;
+  /// Per-member real-distance tallies of the leaf being scanned
+  /// (ScanLeafGrouped), folded into the members' counters once per leaf.
+  std::vector<size_t> real_distances;
 };
 
 /// Runs several QueryExecutions against the same index as one *grouped*

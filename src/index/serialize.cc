@@ -1,10 +1,12 @@
 #include "src/index/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 
 namespace odyssey {
 namespace {
@@ -30,13 +32,40 @@ bool WriteValue(std::FILE* f, T value) {
   return WriteBytes(f, &value, sizeof(T));
 }
 
-bool ReadBytes(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
-}
+/// A file opened for loading, with the count of bytes not yet read. Every
+/// count read from the file is checked against remaining() before anything
+/// is allocated for it, so a corrupt header fails as a Status instead of a
+/// multi-gigabyte allocation.
+class Reader {
+ public:
+  Reader(std::FILE* f, uint64_t size) : f_(f), remaining_(size) {}
 
-template <typename T>
-bool ReadValue(std::FILE* f, T* value) {
-  return ReadBytes(f, value, sizeof(T));
+  uint64_t remaining() const { return remaining_; }
+
+  bool ReadBytes(void* data, size_t bytes) {
+    if (bytes > remaining_) return false;
+    if (std::fread(data, 1, bytes, f_) != bytes) return false;
+    remaining_ -= bytes;
+    return true;
+  }
+
+  template <typename T>
+  bool ReadValue(T* value) {
+    return ReadBytes(value, sizeof(T));
+  }
+
+ private:
+  std::FILE* f_;
+  uint64_t remaining_;
+};
+
+/// Size of the open file `f` in bytes, leaving its position at the start;
+/// nullopt when the stream cannot seek.
+std::optional<uint64_t> FileSize(std::FILE* f) {
+  if (std::fseek(f, 0, SEEK_END) != 0) return std::nullopt;
+  const long size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) return std::nullopt;
+  return static_cast<uint64_t>(size);
 }
 
 bool WriteNode(std::FILE* f, const TreeNode* node) {
@@ -55,24 +84,26 @@ bool WriteNode(std::FILE* f, const TreeNode* node) {
   return WriteNode(f, node->left()) && WriteNode(f, node->right());
 }
 
-/// Reads one pre-order subtree under the word `word`.
-std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
+/// Reads one pre-order subtree under the word `word`. `seen` marks the
+/// series ids already placed in a leaf: every id must appear exactly once.
+std::unique_ptr<TreeNode> ReadNode(Reader* in, IsaxWord word,
                                    const std::vector<uint8_t>& sax_table,
-                                   const IsaxConfig& config, bool* ok) {
+                                   const IsaxConfig& config,
+                                   std::vector<bool>* seen, bool* ok) {
   uint8_t tag = 0;
-  if (!ReadValue(f, &tag)) {
+  if (!in->ReadValue(&tag)) {
     *ok = false;
     return nullptr;
   }
   auto node = std::make_unique<TreeNode>(word);
   if (tag == kLeafTag) {
     uint32_t n = 0;
-    if (!ReadValue(f, &n)) {
+    if (!in->ReadValue(&n) || n > in->remaining() / sizeof(uint32_t)) {
       *ok = false;
       return nullptr;
     }
     std::vector<uint32_t> ids(n);
-    if (n > 0 && !ReadBytes(f, ids.data(), n * sizeof(uint32_t))) {
+    if (n > 0 && !in->ReadBytes(ids.data(), n * sizeof(uint32_t))) {
       *ok = false;
       return nullptr;
     }
@@ -80,10 +111,11 @@ std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
     std::vector<uint8_t> leaf_sax;
     leaf_sax.reserve(n * w);
     for (uint32_t id : ids) {
-      if (static_cast<size_t>(id) * w + w > sax_table.size()) {
+      if (id >= seen->size() || (*seen)[id]) {
         *ok = false;
         return nullptr;
       }
+      (*seen)[id] = true;
       leaf_sax.insert(leaf_sax.end(), sax_table.data() + id * w,
                       sax_table.data() + (id + 1) * w);
     }
@@ -95,7 +127,7 @@ std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
     return nullptr;
   }
   uint8_t split = 0;
-  if (!ReadValue(f, &split) || split >= word.symbols.size() ||
+  if (!in->ReadValue(&split) || split >= word.symbols.size() ||
       word.bits[split] >= config.max_bits) {
     *ok = false;
     return nullptr;
@@ -106,9 +138,9 @@ std::unique_ptr<TreeNode> ReadNode(std::FILE* f, IsaxWord word,
   IsaxWord right_word = left_word;
   right_word.symbols[split] =
       static_cast<uint8_t>(right_word.symbols[split] | 1u);
-  auto left = ReadNode(f, std::move(left_word), sax_table, config, ok);
+  auto left = ReadNode(in, std::move(left_word), sax_table, config, seen, ok);
   if (!*ok) return nullptr;
-  auto right = ReadNode(f, std::move(right_word), sax_table, config, ok);
+  auto right = ReadNode(in, std::move(right_word), sax_table, config, seen, ok);
   if (!*ok) return nullptr;
   node->AdoptChildren(split, std::move(left), std::move(right));
   return node;
@@ -161,13 +193,18 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError("cannot open for reading: " + path);
   }
+  const std::optional<uint64_t> file_size = FileSize(f.get());
+  if (!file_size.has_value()) {
+    return Status::IoError("cannot size: " + path);
+  }
+  Reader in(f.get(), *file_size);
   char magic[4];
   uint32_t version = 0, length = 0, segments = 0, max_bits = 0,
            leaf_capacity = 0, count = 0;
-  if (!ReadBytes(f.get(), magic, 4) || !ReadValue(f.get(), &version) ||
-      !ReadValue(f.get(), &length) || !ReadValue(f.get(), &segments) ||
-      !ReadValue(f.get(), &max_bits) || !ReadValue(f.get(), &leaf_capacity) ||
-      !ReadValue(f.get(), &count)) {
+  if (!in.ReadBytes(magic, 4) || !in.ReadValue(&version) ||
+      !in.ReadValue(&length) || !in.ReadValue(&segments) ||
+      !in.ReadValue(&max_bits) || !in.ReadValue(&leaf_capacity) ||
+      !in.ReadValue(&count)) {
     return Status::IoError("short header read: " + path);
   }
   if (std::memcmp(magic, kMagic, 4) != 0) {
@@ -176,9 +213,18 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported index version in " + path);
   }
-  if (length == 0 || segments == 0 || segments > length || max_bits == 0 ||
-      max_bits > static_cast<uint32_t>(kMaxSaxBits) || leaf_capacity == 0) {
+  // Root keys hold one bit per segment in a uint32_t (RootKey).
+  if (length == 0 || segments == 0 || segments > length || segments > 32 ||
+      max_bits == 0 || max_bits > static_cast<uint32_t>(kMaxSaxBits) ||
+      leaf_capacity == 0) {
     return Status::InvalidArgument("corrupt index header in " + path);
+  }
+  // Each series occupies its raw points plus one SAX row.
+  const uint64_t series_bytes =
+      static_cast<uint64_t>(length) * sizeof(float) + segments;
+  if (count > in.remaining() / series_bytes) {
+    return Status::InvalidArgument("series count exceeds file size in " +
+                                   path);
   }
 
   IndexOptions options;
@@ -188,12 +234,11 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
 
   SeriesCollection data(length);
   float* dst = data.AppendUninitialized(count);
-  if (!ReadBytes(f.get(), dst,
-                 static_cast<size_t>(count) * length * sizeof(float))) {
+  if (!in.ReadBytes(dst, static_cast<size_t>(count) * length * sizeof(float))) {
     return Status::IoError("short data read: " + path);
   }
   std::vector<uint8_t> sax_table(static_cast<size_t>(count) * segments);
-  if (!ReadBytes(f.get(), sax_table.data(), sax_table.size())) {
+  if (!in.ReadBytes(sax_table.data(), sax_table.size())) {
     return Status::IoError("short SAX-table read: " + path);
   }
   // The tree is loaded below, not rebuilt, so the adopted bundle skips the
@@ -204,29 +249,40 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
               options);
 
   uint32_t root_count = 0;
-  if (!ReadValue(f.get(), &root_count)) {
+  if (!in.ReadValue(&root_count)) {
     return Status::IoError("short tree read: " + path);
   }
+  // A root is at least its key, a leaf tag and an id count.
+  constexpr uint64_t kMinRootBytes = sizeof(uint32_t) + 1 + sizeof(uint32_t);
+  if (root_count > in.remaining() / kMinRootBytes) {
+    return Status::InvalidArgument("root count exceeds file size in " + path);
+  }
+  std::vector<bool> seen(count, false);
   std::vector<uint32_t> keys;
   std::vector<std::unique_ptr<TreeNode>> roots;
   keys.reserve(root_count);
   roots.reserve(root_count);
   for (uint32_t r = 0; r < root_count; ++r) {
     uint32_t key = 0;
-    if (!ReadValue(f.get(), &key)) {
+    if (!in.ReadValue(&key)) {
       return Status::IoError("short tree read: " + path);
     }
-    if (!keys.empty() && key <= keys.back()) {
-      return Status::InvalidArgument("root keys out of order in " + path);
+    if ((static_cast<uint64_t>(key) >> segments) != 0 ||
+        (!keys.empty() && key <= keys.back())) {
+      return Status::InvalidArgument("root key out of range or order in " + path);
     }
     bool ok = true;
-    auto root = ReadNode(f.get(), IsaxWord::Root(options.config, key),
-                         index.sax_table(), options.config, &ok);
+    auto root = ReadNode(&in, IsaxWord::Root(options.config, key),
+                         index.sax_table(), options.config, &seen, &ok);
     if (!ok) {
       return Status::InvalidArgument("corrupt subtree in " + path);
     }
     keys.push_back(key);
     roots.push_back(std::move(root));
+  }
+  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    return Status::InvalidArgument("tree does not cover every series in " +
+                                   path);
   }
   index.tree_ = IndexTree::FromRoots(std::move(keys), std::move(roots));
   return index;

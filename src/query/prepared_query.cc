@@ -20,9 +20,11 @@ PreparedQuery PreparedQuery::Prepare(const float* series,
   // query costs exactly one PAA pass (the counters in summary_stats rely on
   // this).
   ComputeSaxFromPaa(out.paa_.data(), config, out.sax_.data());
+  out.paa_bounds_ = MindistTable::ForPaa(out.paa_.data(), config);
   if (build_dtw_envelope) {
     out.envelope_ = BuildEnvelope(series, config.series_length(), dtw_window);
     out.envelope_paa_ = ComputeEnvelopePaa(out.envelope_, config);
+    out.envelope_bounds_ = MindistTable::ForEnvelope(out.envelope_paa_, config);
     out.dtw_window_ = dtw_window;
     out.has_envelope_ = true;
   }
@@ -37,6 +39,11 @@ const Envelope& PreparedQuery::envelope() const {
 const EnvelopePaa& PreparedQuery::envelope_paa() const {
   ODYSSEY_CHECK_MSG(has_envelope_, "query prepared without a DTW envelope");
   return envelope_paa_;
+}
+
+const MindistTable& PreparedQuery::envelope_bounds() const {
+  ODYSSEY_CHECK_MSG(has_envelope_, "query prepared without a DTW envelope");
+  return envelope_bounds_;
 }
 
 PreparedBatch PreparedBatch::Prepare(const SeriesCollection& queries,

@@ -19,8 +19,11 @@ class ThreadPool;
 /// consumer of the query-answering path (Figure 3, stages 3-5): the
 /// scheduler's execution-time estimation, every replica's execution, and
 /// stolen-work runs on thief nodes. Holds the query's PAA, its
-/// full-cardinality SAX word and — when built for DTW — the Sakoe-Chiba
-/// envelope plus the envelope's per-segment PAA.
+/// full-cardinality SAX word, the MindistTable of its PAA bounds and — when
+/// built for DTW — the Sakoe-Chiba envelope, the envelope's per-segment PAA
+/// and the MindistTable of its envelope bounds. The tables (64 KiB each at
+/// 16 segments x 8 bits) are what every node and series lower bound of the
+/// exact search reads.
 ///
 /// A PreparedQuery does not own the raw series; the underlying
 /// SeriesCollection must outlive it (NodeRuntime already requires the query
@@ -45,12 +48,16 @@ class PreparedQuery {
   const double* paa() const { return paa_.data(); }
   /// Full-cardinality SAX word (segments() bytes).
   const uint8_t* sax() const { return sax_.data(); }
+  /// Per-segment terms of MindistPaaToWord / MindistPaaToSax for this query.
+  const MindistTable& paa_bounds() const { return paa_bounds_; }
 
   bool has_envelope() const { return has_envelope_; }
   /// Warping window the envelope was built for (0 without an envelope).
   size_t dtw_window() const { return dtw_window_; }
   const Envelope& envelope() const;
   const EnvelopePaa& envelope_paa() const;
+  /// Per-segment terms of MindistEnvelopeToWord / MindistEnvelopeToSax.
+  const MindistTable& envelope_bounds() const;
 
  private:
   const float* series_ = nullptr;
@@ -59,8 +66,10 @@ class PreparedQuery {
   bool has_envelope_ = false;
   std::vector<double> paa_;
   std::vector<uint8_t> sax_;
-  Envelope envelope_;         // DTW only
-  EnvelopePaa envelope_paa_;  // DTW only
+  MindistTable paa_bounds_;
+  Envelope envelope_;             // DTW only
+  EnvelopePaa envelope_paa_;      // DTW only
+  MindistTable envelope_bounds_;  // DTW only
 };
 
 /// The prepared form of one query batch: one PreparedQuery per query, built

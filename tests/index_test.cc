@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/index/pqueue.h"
 #include "src/index/query_engine.h"
 #include "src/index/rs_batch.h"
+#include "src/index/serialize.h"
 #include "src/index/threshold_model.h"
 #include "tests/testing_utils.h"
 
@@ -551,6 +554,107 @@ TEST(ExactSearchTest, RunBatchSubsetCoversStolenWork) {
     const float exact = BruteForceKnn(data, queries.data(q), 1)[0]
                             .squared_distance;
     EXPECT_TRUE(NearlyEqual(best, exact)) << "query " << q;
+  }
+}
+
+// ---------------------------------------------------- Hardened index load
+//
+// LoadIndexFromFile checks every count in the file against the bytes left
+// before allocating for it; a corrupt file is a Status, never an abort.
+
+/// Little-endian byte builder for hand-made index files.
+class IndexFileBytes {
+ public:
+  IndexFileBytes& U8(uint8_t v) { return Raw(&v, 1); }
+  IndexFileBytes& U32(uint32_t v) { return Raw(&v, sizeof(v)); }
+  IndexFileBytes& F32(float v) { return Raw(&v, sizeof(v)); }
+  IndexFileBytes& Raw(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    bytes_.insert(bytes_.end(), p, p + n);
+    return *this;
+  }
+  /// Header of the "ODIX" version-1 format.
+  IndexFileBytes& Header(uint32_t length, uint32_t segments, uint32_t count) {
+    return Raw("ODIX", 4).U32(1).U32(length).U32(segments).U32(8).U32(8).U32(
+        count);
+  }
+  size_t size() const { return bytes_.size(); }
+
+  /// Writes the bytes to a temp file and loads it.
+  StatusOr<Index> Load(const std::string& name) const {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return Status::IoError("cannot create " + path);
+    std::fwrite(bytes_.data(), 1, bytes_.size(), f);
+    std::fclose(f);
+    StatusOr<Index> result = LoadIndexFromFile(path);
+    std::remove(path.c_str());
+    return result;
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;
+};
+
+/// A one-root index file over `count` series of length 4 (2 segments) whose
+/// single leaf lists `ids`, with the leaf's id count field set to
+/// `id_count` (normally ids.size()).
+IndexFileBytes OneLeafFile(uint32_t count, const std::vector<uint32_t>& ids,
+                           uint32_t id_count) {
+  IndexFileBytes file;
+  file.Header(/*length=*/4, /*segments=*/2, count);
+  for (uint32_t i = 0; i < count * 4; ++i) file.F32(0.0f);
+  for (uint32_t i = 0; i < count * 2; ++i) file.U8(0);
+  file.U32(/*root_count=*/1).U32(/*key=*/0).U8(/*leaf tag=*/0).U32(id_count);
+  for (uint32_t id : ids) file.U32(id);
+  return file;
+}
+
+TEST(SerializeHardeningTest, HugeSeriesCountInA28ByteFileIsAStatus) {
+  // The header alone, claiming 2^30 series of 64 points (4 GiB): the count
+  // must be refused before anything is allocated for it.
+  IndexFileBytes file;
+  file.Header(/*length=*/64, /*segments=*/8, /*count=*/1u << 30);
+  ASSERT_EQ(file.size(), 28u);
+  const StatusOr<Index> result = file.Load("odyssey_huge_count.odix");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
+TEST(SerializeHardeningTest, HandMadeFileLoads) {
+  // The builder's layout is right: a well-formed one-leaf file loads.
+  const StatusOr<Index> result =
+      OneLeafFile(2, {0, 1}, 2).Load("odyssey_one_leaf.odix");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->data().size(), 2u);
+  EXPECT_EQ(result->tree().root_count(), 1u);
+}
+
+TEST(SerializeHardeningTest, CorruptCountsAndIdsAreStatuses) {
+  // Leaf id count far beyond the bytes left.
+  EXPECT_FALSE(OneLeafFile(2, {0, 1}, 0x40000000u)
+                   .Load("odyssey_huge_leaf.odix")
+                   .ok());
+  // Root count far beyond the bytes left.
+  {
+    IndexFileBytes file;
+    file.Header(4, 2, 1).F32(0).F32(0).F32(0).F32(0).U8(0).U8(0);
+    file.U32(0xFFFFFFFFu);
+    const StatusOr<Index> result = file.Load("odyssey_huge_roots.odix");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  // An id past the series count, a duplicated id, and an uncovered series.
+  EXPECT_FALSE(OneLeafFile(2, {0, 2}, 2).Load("odyssey_bad_id.odix").ok());
+  EXPECT_FALSE(OneLeafFile(2, {1, 1}, 2).Load("odyssey_dup_id.odix").ok());
+  EXPECT_FALSE(OneLeafFile(2, {0}, 1).Load("odyssey_uncovered.odix").ok());
+  // More segments than a 32-bit root key can hold.
+  {
+    IndexFileBytes file;
+    file.Header(/*length=*/64, /*segments=*/33, /*count=*/0);
+    EXPECT_FALSE(file.Load("odyssey_wide.odix").ok());
   }
 }
 

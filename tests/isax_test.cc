@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -290,6 +293,157 @@ TEST(MindistTest, EnvelopeMindistLowerBoundsDtw) {
           IsaxWord::Root(config, RootKey(sax.data(), config));
       ASSERT_LE(MindistEnvelopeToWord(env_paa, root, config),
                 dtw * (1 + 1e-5f) + 1e-6f);
+    }
+  }
+}
+
+// ------------------------------------------------- MindistTable identity
+//
+// The query path evaluates every bound through a per-query MindistTable;
+// pruning decisions stay those of the reference functions only if the
+// table's floats are the reference floats bit for bit.
+
+uint32_t FloatBits(float value) { return std::bit_cast<uint32_t>(value); }
+
+/// Random PAA values: mostly N(0, 1.5), plus exact breakpoints (region
+/// edges, where the gap is 0 on one side) and far-out values.
+std::vector<double> RandomPaa(const IsaxConfig& config, Rng* rng) {
+  const std::vector<double>& edges =
+      BreakpointTable::Get().ForBits(config.max_bits > 1 ? 2 : 1);
+  std::vector<double> paa(config.segments());
+  for (double& v : paa) {
+    const uint64_t kind = rng->NextBounded(8);
+    if (kind == 0) {
+      v = edges[rng->NextBounded(edges.size())];
+    } else if (kind == 1) {
+      v = (rng->NextBounded(2) == 0 ? -1.0 : 1.0) * (4.0 + rng->NextDouble());
+    } else {
+      v = 1.5 * rng->NextGaussian();
+    }
+  }
+  return paa;
+}
+
+/// Random envelope bands: lower <= upper, sometimes degenerate.
+EnvelopePaa RandomEnvelopePaa(const IsaxConfig& config, Rng* rng) {
+  EnvelopePaa env;
+  env.lower = RandomPaa(config, rng);
+  env.upper = env.lower;
+  for (double& u : env.upper) {
+    if (rng->NextBounded(4) != 0) u += std::abs(rng->NextGaussian());
+  }
+  return env;
+}
+
+/// A node word with per-segment bit depths drawn from 1..max_bits.
+IsaxWord RandomWord(const IsaxConfig& config, Rng* rng) {
+  IsaxWord word;
+  word.symbols.resize(config.segments());
+  word.bits.resize(config.segments());
+  for (int i = 0; i < config.segments(); ++i) {
+    const int bits = 1 + static_cast<int>(rng->NextBounded(config.max_bits));
+    word.bits[i] = static_cast<uint8_t>(bits);
+    word.symbols[i] = static_cast<uint8_t>(rng->NextBounded(1u << bits));
+  }
+  return word;
+}
+
+class MindistTableIdentityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int, int>> {};
+
+TEST_P(MindistTableIdentityTest, EqualsReferenceBoundsBitForBit) {
+  const auto [length, segments, max_bits] = GetParam();
+  const IsaxConfig config(length, segments, max_bits);
+  Rng rng(1000 + length * 31 + segments * 7 + max_bits);
+  for (int round = 0; round < 20; ++round) {
+    const std::vector<double> paa = RandomPaa(config, &rng);
+    const EnvelopePaa env = RandomEnvelopePaa(config, &rng);
+    const MindistTable paa_table = MindistTable::ForPaa(paa.data(), config);
+    const MindistTable env_table = MindistTable::ForEnvelope(env, config);
+
+    // Every symbol at every bit depth, in every segment at once: each
+    // table entry is exercised by some word below.
+    for (int bits = 1; bits <= max_bits; ++bits) {
+      for (uint32_t symbol = 0; symbol < (1u << bits); ++symbol) {
+        IsaxWord word;
+        word.bits.assign(segments, static_cast<uint8_t>(bits));
+        word.symbols.assign(segments, static_cast<uint8_t>(symbol));
+        const std::string where =
+            "bits=" + std::to_string(bits) + " symbol=" + std::to_string(symbol);
+        ASSERT_EQ(FloatBits(paa_table.ToWord(word)),
+                  FloatBits(MindistPaaToWord(paa.data(), word, config)))
+            << where;
+        ASSERT_EQ(FloatBits(env_table.ToWord(word)),
+                  FloatBits(MindistEnvelopeToWord(env, word, config)))
+            << where;
+        if (bits == max_bits) {
+          ASSERT_EQ(FloatBits(paa_table.ToSax(word.symbols.data())),
+                    FloatBits(MindistPaaToSax(paa.data(), word.symbols.data(),
+                                              config)))
+              << where;
+          ASSERT_EQ(FloatBits(env_table.ToSax(word.symbols.data())),
+                    FloatBits(MindistEnvelopeToSax(env, word.symbols.data(),
+                                                   config)))
+              << where;
+        }
+      }
+    }
+
+    // Random node words (mixed depths) and random full-cardinality rows.
+    std::vector<uint8_t> sax(segments);
+    for (int trial = 0; trial < 200; ++trial) {
+      const IsaxWord word = RandomWord(config, &rng);
+      ASSERT_EQ(FloatBits(paa_table.ToWord(word)),
+                FloatBits(MindistPaaToWord(paa.data(), word, config)))
+          << word.ToString();
+      ASSERT_EQ(FloatBits(env_table.ToWord(word)),
+                FloatBits(MindistEnvelopeToWord(env, word, config)))
+          << word.ToString();
+      for (uint8_t& symbol : sax) {
+        symbol = static_cast<uint8_t>(rng.NextBounded(1u << max_bits));
+      }
+      ASSERT_EQ(FloatBits(paa_table.ToSax(sax.data())),
+                FloatBits(MindistPaaToSax(paa.data(), sax.data(), config)));
+      ASSERT_EQ(FloatBits(env_table.ToSax(sax.data())),
+                FloatBits(MindistEnvelopeToSax(env, sax.data(), config)));
+    }
+  }
+}
+
+// (length, segments, max_bits): the default 256/16/8 geometry, a length the
+// segment count does not divide (unequal segment counts), and symbol widths
+// below 8 bits down to 1.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, MindistTableIdentityTest,
+    ::testing::Values(std::make_tuple(256u, 16, 8), std::make_tuple(250u, 16, 8),
+                      std::make_tuple(100u, 7, 8), std::make_tuple(250u, 16, 4),
+                      std::make_tuple(64u, 8, 3), std::make_tuple(33u, 5, 1)));
+
+TEST(MindistTableTest, SeriesSummariesOfRealDataMatchReference) {
+  // End to end through the summarization path: PAA and SAX of real series
+  // (so symbols sit where data puts them), ED and DTW tables.
+  const IsaxConfig config(250, 16);
+  const SeriesCollection data = GenerateSeismicLike(100, 250, 37);
+  const SeriesCollection queries = GenerateRandomWalk(4, 250, 39);
+  const size_t window = WarpingWindowFromFraction(250, 0.05);
+  std::vector<uint8_t> sax(16);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<double> paa = ComputePaa(queries.data(q), config.paa);
+    const EnvelopePaa env = ComputeEnvelopePaa(
+        BuildEnvelope(queries.data(q), 250, window), config);
+    const MindistTable paa_table = MindistTable::ForPaa(paa.data(), config);
+    const MindistTable env_table = MindistTable::ForEnvelope(env, config);
+    for (size_t i = 0; i < data.size(); ++i) {
+      ComputeSax(data.data(i), config, sax.data());
+      ASSERT_EQ(FloatBits(paa_table.ToSax(sax.data())),
+                FloatBits(MindistPaaToSax(paa.data(), sax.data(), config)));
+      ASSERT_EQ(FloatBits(env_table.ToSax(sax.data())),
+                FloatBits(MindistEnvelopeToSax(env, sax.data(), config)));
+      const IsaxWord root = IsaxWord::Root(config, RootKey(sax.data(), config));
+      ASSERT_EQ(FloatBits(paa_table.ToWord(root)),
+                FloatBits(MindistPaaToWord(paa.data(), root, config)));
+      ASSERT_EQ(FloatBits(env_table.ToWord(root)),
+                FloatBits(MindistEnvelopeToWord(env, root, config)));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/baselines/dmessi.h"
 #include "src/baselines/dpisax.h"
@@ -195,6 +196,41 @@ TEST(DistributedTest, ReusingClusterAcrossBatchesStaysExact) {
     ExpectAnswersMatchBruteForce(data, queries, report, 1,
                                  "batch seed " + std::to_string(seed));
   }
+}
+
+TEST(DistributedTest, NonFiniteQueriesAreRefusedBeforeDispatch) {
+  // A NaN defeats every bound comparison, so a NaN query would come back
+  // with a fabricated neighbour. Batch and stream calls refuse the whole
+  // call, naming the query, and the cluster keeps answering valid batches
+  // afterwards.
+  const SeriesCollection data = GenerateRandomWalk(800, 64, 71);
+  OdysseyOptions options;
+  options.num_nodes = 2;
+  options.num_groups = 1;
+  options.index_options = TestIndexOptions();
+  options.query_options.num_threads = 2;
+  OdysseyCluster cluster(data, options);
+  const SeriesCollection clean = GenerateUniformQueries(data, 4, 1.0, 73);
+  const std::vector<double> arrivals(clean.size(), 0.0);
+  for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+    SeriesCollection queries = clean;
+    queries.mutable_data(2)[17] = bad;
+    const std::string label = "value " + std::to_string(bad);
+    for (const BatchReport& report :
+         {cluster.AnswerBatch(queries), cluster.AnswerStream(queries, arrivals)}) {
+      EXPECT_EQ(report.status.code(), StatusCode::kInvalidArgument) << label;
+      EXPECT_NE(report.status.message().find("query 2"), std::string::npos)
+          << label << ": " << report.status.ToString();
+      EXPECT_EQ(report.messages_sent, 0u) << label;
+      ASSERT_EQ(report.answers.size(), queries.size()) << label;
+      for (const QueryAnswer& answer : report.answers) {
+        EXPECT_TRUE(answer.empty()) << label;
+      }
+    }
+  }
+  const BatchReport report = cluster.AnswerBatch(clean);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  ExpectAnswersMatchBruteForce(data, clean, report, 1, "after refusals");
 }
 
 TEST(DistributedTest, WorkStealingActuallyHappensOnSkewedBatch) {
