@@ -23,7 +23,7 @@ const TreeNode* DescendToLeaf(const Index& index, const PreparedQuery& query) {
   if (root_idx < 0) {
     float best = std::numeric_limits<float>::infinity();
     for (size_t i = 0; i < tree.root_count(); ++i) {
-      const float lb = query.paa_bounds().ToWord(tree.root(i)->word());
+      const float lb = query.root_bounds().ToWord(tree.root(i)->word());
       if (lb < best) {
         best = lb;
         root_idx = static_cast<int>(i);

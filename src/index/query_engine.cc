@@ -145,10 +145,9 @@ QueryExecution::QueryExecution(const Index* index, const PreparedQuery& query,
         query.has_envelope() && query.dtw_window() == options_.dtw_window,
         "DTW execution needs a query prepared with the same warping window");
     envelope_ = &query.envelope();
-    bounds_ = &query.envelope_bounds();
-  } else {
-    bounds_ = &query.paa_bounds();
   }
+  bounds_owner_ = query.AcquireBounds();
+  bounds_ = bounds_owner_.get();
   ODYSSEY_CHECK_MSG(bounds_->max_bits() == index_->config().max_bits,
                     "query bounds built for a different symbol width");
   if (shared_bsf_ == nullptr) shared_bsf_ = &local_bsf_;

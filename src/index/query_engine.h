@@ -333,8 +333,11 @@ class QueryExecution {
   const PreparedQuery* prepared_;
   const float* query_;  // prepared_->series(), cached for the scan loop
   // The prepared query's lower-bound table for this execution's distance
-  // (envelope bounds under DTW, PAA bounds otherwise), resolved once in the
+  // (envelope bounds under DTW, PAA bounds otherwise), acquired once in the
   // constructor: every node and series bound is a row of its lookups.
+  // Holding it keeps the query's shared table alive until this execution
+  // ends; bounds_ is the raw view the scan loops read.
+  std::shared_ptr<const MindistTable> bounds_owner_;
   const MindistTable* bounds_ = nullptr;
   // DTW-only view into *prepared_, resolved once in the constructor so the
   // per-series LB_Keogh pays no precondition re-validation.

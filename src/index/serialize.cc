@@ -111,7 +111,10 @@ std::unique_ptr<TreeNode> ReadNode(Reader* in, IsaxWord word,
     std::vector<uint8_t> leaf_sax;
     leaf_sax.reserve(n * w);
     for (uint32_t id : ids) {
-      if (id >= seen->size() || (*seen)[id]) {
+      // A series must lie under its leaf's word, or the node bound that
+      // pruned the leaf would not bound the series.
+      if (id >= seen->size() || (*seen)[id] ||
+          !word.Matches(sax_table.data() + id * w, config)) {
         *ok = false;
         return nullptr;
       }
@@ -240,6 +243,13 @@ StatusOr<Index> LoadIndexFromFile(const std::string& path) {
   std::vector<uint8_t> sax_table(static_cast<size_t>(count) * segments);
   if (!in.ReadBytes(sax_table.data(), sax_table.size())) {
     return Status::IoError("short SAX-table read: " + path);
+  }
+  // The query path indexes its bound tables by these symbols unchecked.
+  const uint32_t symbol_limit = 1u << max_bits;
+  for (uint8_t symbol : sax_table) {
+    if (symbol >= symbol_limit) {
+      return Status::InvalidArgument("SAX symbol out of range in " + path);
+    }
   }
   // The tree is loaded below, not rebuilt, so the adopted bundle skips the
   // summarization buffers (and carries no PAA table — the file stores none).

@@ -20,11 +20,16 @@ PreparedQuery PreparedQuery::Prepare(const float* series,
   // query costs exactly one PAA pass (the counters in summary_stats rely on
   // this).
   ComputeSaxFromPaa(out.paa_.data(), config, out.sax_.data());
-  out.paa_bounds_ = MindistTable::ForPaa(out.paa_.data(), config);
+  out.config_ = config;
+  // Approximate search bounds root words only, and level 1 sits first in a
+  // table of any width, so a 1-bit table gives those bounds bit for bit.
+  out.root_bounds_ = MindistTable::ForPaa(
+      out.paa_.data(),
+      IsaxConfig(config.series_length(), config.segments(), /*bits=*/1));
+  out.bounds_slot_ = std::make_unique<BoundsSlot>();
   if (build_dtw_envelope) {
     out.envelope_ = BuildEnvelope(series, config.series_length(), dtw_window);
     out.envelope_paa_ = ComputeEnvelopePaa(out.envelope_, config);
-    out.envelope_bounds_ = MindistTable::ForEnvelope(out.envelope_paa_, config);
     out.dtw_window_ = dtw_window;
     out.has_envelope_ = true;
   }
@@ -36,14 +41,19 @@ const Envelope& PreparedQuery::envelope() const {
   return envelope_;
 }
 
-const EnvelopePaa& PreparedQuery::envelope_paa() const {
-  ODYSSEY_CHECK_MSG(has_envelope_, "query prepared without a DTW envelope");
-  return envelope_paa_;
-}
-
-const MindistTable& PreparedQuery::envelope_bounds() const {
-  ODYSSEY_CHECK_MSG(has_envelope_, "query prepared without a DTW envelope");
-  return envelope_bounds_;
+std::shared_ptr<const MindistTable> PreparedQuery::AcquireBounds() const {
+  ODYSSEY_CHECK_MSG(bounds_slot_ != nullptr, "query was never prepared");
+  // Built under the lock, so executions that start together share one
+  // build instead of racing to make copies.
+  MutexLock lock(&bounds_slot_->mu);
+  std::shared_ptr<const MindistTable> table = bounds_slot_->table.lock();
+  if (table == nullptr) {
+    table = std::make_shared<const MindistTable>(
+        has_envelope_ ? MindistTable::ForEnvelope(envelope_paa_, config_)
+                      : MindistTable::ForPaa(paa_.data(), config_));
+    bounds_slot_->table = table;
+  }
+  return table;
 }
 
 PreparedBatch PreparedBatch::Prepare(const SeriesCollection& queries,

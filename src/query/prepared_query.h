@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/common/sync.h"
 #include "src/dataset/series_collection.h"
 #include "src/distance/lb_keogh.h"
 #include "src/isax/isax_word.h"
@@ -19,11 +21,17 @@ class ThreadPool;
 /// consumer of the query-answering path (Figure 3, stages 3-5): the
 /// scheduler's execution-time estimation, every replica's execution, and
 /// stolen-work runs on thief nodes. Holds the query's PAA, its
-/// full-cardinality SAX word, the MindistTable of its PAA bounds and — when
-/// built for DTW — the Sakoe-Chiba envelope, the envelope's per-segment PAA
-/// and the MindistTable of its envelope bounds. The tables (64 KiB each at
-/// 16 segments x 8 bits) are what every node and series lower bound of the
-/// exact search reads.
+/// full-cardinality SAX word, the root-level MindistTable of its PAA bounds
+/// and — when built for DTW — the Sakoe-Chiba envelope and its per-segment
+/// PAA.
+///
+/// The full-width MindistTable every node and series bound of the exact
+/// search reads (64 KiB at 16 segments x 8 bits: PAA bounds for ED,
+/// envelope bounds for DTW) is not kept for the query's lifetime:
+/// AcquireBounds builds it on first request and every concurrent execution
+/// of the query (replicas, stolen work, grouped members) shares that one
+/// build. It is freed when the last of them drops it, so a batch holds
+/// tables only for the queries in flight, not for all of them.
 ///
 /// A PreparedQuery does not own the raw series; the underlying
 /// SeriesCollection must outlive it (NodeRuntime already requires the query
@@ -48,28 +56,39 @@ class PreparedQuery {
   const double* paa() const { return paa_.data(); }
   /// Full-cardinality SAX word (segments() bytes).
   const uint8_t* sax() const { return sax_.data(); }
-  /// Per-segment terms of MindistPaaToWord / MindistPaaToSax for this query.
-  const MindistTable& paa_bounds() const { return paa_bounds_; }
+  /// The 1-bit level of MindistPaaToWord's terms (2 x segments() doubles):
+  /// bounds root words only, for approximate search's root fallback.
+  const MindistTable& root_bounds() const { return root_bounds_; }
 
   bool has_envelope() const { return has_envelope_; }
   /// Warping window the envelope was built for (0 without an envelope).
   size_t dtw_window() const { return dtw_window_; }
   const Envelope& envelope() const;
-  const EnvelopePaa& envelope_paa() const;
-  /// Per-segment terms of MindistEnvelopeToWord / MindistEnvelopeToSax.
-  const MindistTable& envelope_bounds() const;
+
+  /// The full-width bound table of exact search under the query's distance:
+  /// the terms of MindistEnvelopeTo{Word,Sax} when prepared with a DTW
+  /// envelope, of MindistPaaTo{Word,Sax} otherwise. Returns the table a
+  /// concurrent holder already has, else builds it. Thread-safe.
+  std::shared_ptr<const MindistTable> AcquireBounds() const;
 
  private:
+  /// The shared table of AcquireBounds; it expires with its last holder.
+  struct BoundsSlot {
+    Mutex mu;
+    std::weak_ptr<const MindistTable> table ODYSSEY_GUARDED_BY(mu);
+  };
+
   const float* series_ = nullptr;
   size_t length_ = 0;
   size_t dtw_window_ = 0;
   bool has_envelope_ = false;
+  IsaxConfig config_;
   std::vector<double> paa_;
   std::vector<uint8_t> sax_;
-  MindistTable paa_bounds_;
-  Envelope envelope_;             // DTW only
-  EnvelopePaa envelope_paa_;      // DTW only
-  MindistTable envelope_bounds_;  // DTW only
+  MindistTable root_bounds_;
+  Envelope envelope_;        // DTW only
+  EnvelopePaa envelope_paa_;  // DTW only
+  std::unique_ptr<BoundsSlot> bounds_slot_;
 };
 
 /// The prepared form of one query batch: one PreparedQuery per query, built

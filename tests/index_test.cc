@@ -573,10 +573,11 @@ class IndexFileBytes {
     bytes_.insert(bytes_.end(), p, p + n);
     return *this;
   }
-  /// Header of the "ODIX" version-1 format.
-  IndexFileBytes& Header(uint32_t length, uint32_t segments, uint32_t count) {
-    return Raw("ODIX", 4).U32(1).U32(length).U32(segments).U32(8).U32(8).U32(
-        count);
+  /// Header of the "ODIX" version-1 format (leaf capacity 8).
+  IndexFileBytes& Header(uint32_t length, uint32_t segments, uint32_t count,
+                         uint32_t max_bits = 8) {
+    return Raw("ODIX", 4).U32(1).U32(length).U32(segments).U32(max_bits).U32(
+        8).U32(count);
   }
   size_t size() const { return bytes_.size(); }
 
@@ -599,13 +600,15 @@ class IndexFileBytes {
 
 /// A one-root index file over `count` series of length 4 (2 segments) whose
 /// single leaf lists `ids`, with the leaf's id count field set to
-/// `id_count` (normally ids.size()).
+/// `id_count` (normally ids.size()). Every SAX byte is `symbol` (0 lies
+/// under the root word of key 0).
 IndexFileBytes OneLeafFile(uint32_t count, const std::vector<uint32_t>& ids,
-                           uint32_t id_count) {
+                           uint32_t id_count, uint32_t max_bits = 8,
+                           uint8_t symbol = 0) {
   IndexFileBytes file;
-  file.Header(/*length=*/4, /*segments=*/2, count);
+  file.Header(/*length=*/4, /*segments=*/2, count, max_bits);
   for (uint32_t i = 0; i < count * 4; ++i) file.F32(0.0f);
-  for (uint32_t i = 0; i < count * 2; ++i) file.U8(0);
+  for (uint32_t i = 0; i < count * 2; ++i) file.U8(symbol);
   file.U32(/*root_count=*/1).U32(/*key=*/0).U8(/*leaf tag=*/0).U32(id_count);
   for (uint32_t id : ids) file.U32(id);
   return file;
@@ -650,6 +653,23 @@ TEST(SerializeHardeningTest, CorruptCountsAndIdsAreStatuses) {
   EXPECT_FALSE(OneLeafFile(2, {0, 2}, 2).Load("odyssey_bad_id.odix").ok());
   EXPECT_FALSE(OneLeafFile(2, {1, 1}, 2).Load("odyssey_dup_id.odix").ok());
   EXPECT_FALSE(OneLeafFile(2, {0}, 1).Load("odyssey_uncovered.odix").ok());
+  // A SAX symbol wider than max_bits (4 bits here): the bound tables index
+  // by it unchecked, so it must be refused at load.
+  {
+    const StatusOr<Index> result =
+        OneLeafFile(2, {0, 1}, 2, /*max_bits=*/4, /*symbol=*/200)
+            .Load("odyssey_wide_symbol.odix");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  EXPECT_TRUE(OneLeafFile(2, {0, 1}, 2, /*max_bits=*/4, /*symbol=*/7)
+                  .Load("odyssey_narrow_ok.odix")
+                  .ok());
+  // An in-range symbol whose top bit (1) is not the leaf's root key (0).
+  EXPECT_FALSE(OneLeafFile(2, {0, 1}, 2, /*max_bits=*/8, /*symbol=*/0x80)
+                   .Load("odyssey_misplaced.odix")
+                   .ok());
   // More segments than a 32-bit root key can hold.
   {
     IndexFileBytes file;

@@ -419,34 +419,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100u, 7, 8), std::make_tuple(250u, 16, 4),
                       std::make_tuple(64u, 8, 3), std::make_tuple(33u, 5, 1)));
 
-TEST(MindistTableTest, SeriesSummariesOfRealDataMatchReference) {
-  // End to end through the summarization path: PAA and SAX of real series
-  // (so symbols sit where data puts them), ED and DTW tables.
-  const IsaxConfig config(250, 16);
-  const SeriesCollection data = GenerateSeismicLike(100, 250, 37);
-  const SeriesCollection queries = GenerateRandomWalk(4, 250, 39);
-  const size_t window = WarpingWindowFromFraction(250, 0.05);
-  std::vector<uint8_t> sax(16);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<double> paa = ComputePaa(queries.data(q), config.paa);
-    const EnvelopePaa env = ComputeEnvelopePaa(
-        BuildEnvelope(queries.data(q), 250, window), config);
-    const MindistTable paa_table = MindistTable::ForPaa(paa.data(), config);
-    const MindistTable env_table = MindistTable::ForEnvelope(env, config);
-    for (size_t i = 0; i < data.size(); ++i) {
-      ComputeSax(data.data(i), config, sax.data());
-      ASSERT_EQ(FloatBits(paa_table.ToSax(sax.data())),
-                FloatBits(MindistPaaToSax(paa.data(), sax.data(), config)));
-      ASSERT_EQ(FloatBits(env_table.ToSax(sax.data())),
-                FloatBits(MindistEnvelopeToSax(env, sax.data(), config)));
-      const IsaxWord root = IsaxWord::Root(config, RootKey(sax.data(), config));
-      ASSERT_EQ(FloatBits(paa_table.ToWord(root)),
-                FloatBits(MindistPaaToWord(paa.data(), root, config)));
-      ASSERT_EQ(FloatBits(env_table.ToWord(root)),
-                FloatBits(MindistEnvelopeToWord(env, root, config)));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace odyssey

@@ -69,12 +69,50 @@ TEST(PreparedQueryTest, SummariesMatchStandaloneRoutines) {
       EXPECT_EQ(prepared.envelope().upper[t], envelope.upper[t]);
       EXPECT_EQ(prepared.envelope().lower[t], envelope.lower[t]);
     }
+    // The envelope table bounds every SAX row as the reference does, and
+    // the root-level PAA table every root word.
     const EnvelopePaa env_paa = ComputeEnvelopePaa(envelope, config);
-    for (int i = 0; i < config.segments(); ++i) {
-      EXPECT_EQ(prepared.envelope_paa().upper[i], env_paa.upper[i]);
-      EXPECT_EQ(prepared.envelope_paa().lower[i], env_paa.lower[i]);
+    const std::shared_ptr<const MindistTable> bounds =
+        prepared.AcquireBounds();
+    ASSERT_EQ(bounds->max_bits(), config.max_bits);
+    std::mt19937 rng(static_cast<uint32_t>(q));
+    std::vector<uint8_t> row(config.segments());
+    for (int trial = 0; trial < 64; ++trial) {
+      for (uint8_t& symbol : row) symbol = static_cast<uint8_t>(rng());
+      EXPECT_EQ(bounds->ToSax(row.data()),
+                MindistEnvelopeToSax(env_paa, row.data(), config));
+    }
+    ASSERT_EQ(prepared.root_bounds().max_bits(), 1);
+    for (uint32_t key = 0; key < (1u << config.segments()); ++key) {
+      const IsaxWord root = IsaxWord::Root(config, key);
+      EXPECT_EQ(prepared.root_bounds().ToWord(root),
+                MindistPaaToWord(paa.data(), root, config))
+          << "root key " << key;
     }
   }
+}
+
+TEST(PreparedQueryTest, BoundsTableIsSharedWhileHeldAndFreedAfter) {
+  const SeriesCollection queries = GenerateRandomWalk(1, 64, 207);
+  const IsaxConfig config(64, 8);
+  const PreparedQuery prepared =
+      PreparedQuery::Prepare(queries.data(0), config);
+  std::weak_ptr<const MindistTable> released;
+  {
+    const std::shared_ptr<const MindistTable> first = prepared.AcquireBounds();
+    const std::shared_ptr<const MindistTable> second =
+        prepared.AcquireBounds();
+    EXPECT_EQ(first.get(), second.get()) << "concurrent holders share";
+    ASSERT_EQ(first->max_bits(), config.max_bits);
+    const uint8_t* sax = prepared.sax();
+    EXPECT_EQ(first->ToSax(sax), MindistPaaToSax(prepared.paa(), sax, config));
+    released = first;
+  }
+  EXPECT_TRUE(released.expired()) << "the last holder frees the table";
+  // A later execution (a steal, a retry) gets the same bounds again.
+  const uint8_t* sax = prepared.sax();
+  EXPECT_EQ(prepared.AcquireBounds()->ToSax(sax),
+            MindistPaaToSax(prepared.paa(), sax, config));
 }
 
 TEST(PreparedQueryTest, EnvelopeAccessorsGatedOnPreparation) {
